@@ -94,7 +94,7 @@ func run() error {
 		for _, pipelined := range []bool{false, true} {
 			for _, policy := range []string{"rr", "ear"} {
 				opts := experiments.TestbedOptions{Seed: *seed, PipelinedEncode: pipelined,
-					RackAwareRepair: pipelined}
+					GatherRepair: !pipelined}
 				res, err := experiments.RunTraffic(opts, policy, 9, 6)
 				if err != nil {
 					return err

@@ -64,10 +64,9 @@ type recoverySnapshot struct {
 // survivors into one node while the two-level path folds each rack's
 // survivors into one partial sum. The grid crosses the two repair paths
 // with SWIM-style background traffic; every cell rebuilds the same seeded
-// cluster and kills the node holding the most data blocks (data placement
-// is seed-deterministic, so the failed node and its lost data set are
-// identical across cells; only the nondeterministic parity assignments
-// vary).
+// cluster and kills the node holding the most data blocks (data and
+// parity placement are seed-deterministic, so the failed node and its lost
+// member set are identical across cells).
 func runRecovery(out string, stripes int) error {
 	const (
 		racks  = 4
@@ -104,7 +103,7 @@ func runRecovery(out string, stripes int) error {
 			DiskBandwidthBytesPerSec: 2 * linkBs,
 			MapTasks:                 4,
 			Seed:                     1,
-			RackAwareRepair:          rackAware,
+			GatherRepair:             !rackAware,
 			RecoverParallelism:       16,
 		}
 		c, err := hdfs.NewCluster(cfg)

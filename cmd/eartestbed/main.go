@@ -252,9 +252,7 @@ func run() error {
 		}
 		fmt.Println(t)
 	case "nodefail":
-		nf := base
-		nf.RackAwareRepair = true
-		res, err := experiments.RunNodeFail(nf)
+		res, err := experiments.RunNodeFail(base)
 		if err != nil {
 			return err
 		}

@@ -47,7 +47,6 @@ func RunNodeFail(opts TestbedOptions) (*NodeFailResult, error) {
 	opts = opts.withDefaults()
 	const n, k = 9, 6
 	cfg := opts.clusterConfig("ear", n, k)
-	cfg.RackAwareRepair = opts.RackAwareRepair
 	c, err := hdfs.NewCluster(cfg)
 	if err != nil {
 		return nil, err
@@ -135,9 +134,9 @@ func RunNodeFail(opts TestbedOptions) (*NodeFailResult, error) {
 			res.Progress.BlocksAtRisk)
 	}
 
-	mode := "gather"
-	if cfg.RackAwareRepair {
-		mode = "two-level"
+	mode := "two-level"
+	if cfg.GatherRepair {
+		mode = "gather"
 	}
 	t := &Table{
 		ID: "nodefail",
@@ -151,6 +150,7 @@ func RunNodeFail(opts TestbedOptions) (*NodeFailResult, error) {
 	t.AddRow("failed node", fmt.Sprintf("%d", dead))
 	t.AddRow("data blocks repaired", fmt.Sprintf("%d", stats.BlocksRepaired))
 	t.AddRow("parities repaired", fmt.Sprintf("%d", stats.ParityRepaired))
+	t.AddRow("replicated blocks re-replicated", fmt.Sprintf("%d", stats.BlocksReplicated))
 	t.AddRow("bytes repaired (MB)", f2(float64(stats.BytesRepaired)/(1<<20)))
 	t.AddRow("cross-rack traffic (MB)", f2(float64(stats.CrossRackBytes)/(1<<20)))
 	t.AddRow("total traffic (MB)", f2(float64(stats.TotalBytes)/(1<<20)))

@@ -181,9 +181,9 @@ func RunTraffic(opts TestbedOptions, policy string, n, k int) (*TrafficResult, e
 	if cfg.PipelinedEncode {
 		mode = "pipelined"
 	}
-	repairMode := "gather"
-	if cfg.RackAwareRepair {
-		repairMode = "two-level"
+	repairMode := "two-level"
+	if cfg.GatherRepair {
+		repairMode = "gather"
 	}
 	t := &Table{
 		ID:      "traffic",

@@ -64,7 +64,6 @@ func TestRunTrafficConsistency(t *testing.T) {
 func TestRunTrafficPipelined(t *testing.T) {
 	opts := fastTestbed()
 	opts.PipelinedEncode = true
-	opts.RackAwareRepair = true
 	for _, policy := range []string{"rr", "ear"} {
 		res, err := RunTraffic(opts, policy, 6, 4)
 		if err != nil {

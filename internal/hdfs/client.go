@@ -3,6 +3,7 @@ package hdfs
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -44,10 +45,10 @@ func (c *Cluster) transferShaped(ctx context.Context, src, dst topology.NodeID, 
 	return st.Send(ctx, n)
 }
 
-// relocateBlock moves one stored block from src to dst through a pooled
-// buffer: checksum-verified read, shaped transfer, store at dst, delete at
-// src. It returns the bytes moved.
-func (c *Cluster) relocateBlock(ctx context.Context, key blockstore.Key, src, dst topology.NodeID) (int64, error) {
+// copyBlock copies one stored block from src to dst through a pooled
+// buffer — checksum-verified read, shaped transfer, store at dst — booking
+// the transfer into tr (nil discards). It returns the bytes copied.
+func (c *Cluster) copyBlock(ctx context.Context, key blockstore.Key, src, dst topology.NodeID, tr *repairTraffic) (int64, error) {
 	srcDN, err := c.DataNodeOf(src)
 	if err != nil {
 		return 0, err
@@ -61,16 +62,33 @@ func (c *Cluster) relocateBlock(ctx context.Context, key blockstore.Key, src, ds
 	if err := srcDN.Store.GetInto(key, buf); err != nil {
 		return 0, err
 	}
-	if err := c.transferShaped(ctx, src, dst, len(buf)); err != nil {
+	st, err := c.fab.OpenStream(ctx, src, dst)
+	if err != nil {
 		return 0, err
 	}
+	defer st.Close()
+	if err := st.Send(ctx, len(buf)); err != nil {
+		return 0, err
+	}
+	tr.addStream(st, int64(len(buf)))
 	if err := dstDN.Store.Put(key, buf); err != nil {
 		return 0, err
 	}
-	if err := srcDN.Store.Delete(key); err != nil {
+	return int64(len(buf)), nil
+}
+
+// relocateBlock moves one stored block from src to dst: copyBlock, then
+// delete at src. It returns the bytes moved.
+func (c *Cluster) relocateBlock(ctx context.Context, key blockstore.Key, src, dst topology.NodeID) (int64, error) {
+	n, err := c.copyBlock(ctx, key, src, dst, nil)
+	if err != nil {
 		return 0, err
 	}
-	return int64(len(buf)), nil
+	srcDN, err := c.DataNodeOf(src)
+	if err != nil {
+		return 0, err
+	}
+	return n, srcDN.Store.Delete(key)
 }
 
 // WriteBlock writes one block from the given client node with a background
@@ -315,9 +333,9 @@ func (c *Cluster) ReadBlock(client topology.NodeID, id topology.BlockID) ([]byte
 }
 
 // ReadBlockCtx reads a block to the client node from its nearest live
-// replica. If every replica is lost but the block's stripe is encoded, the
-// read degrades to erasure-coded reconstruction. Cancelling ctx aborts the
-// transfer within one chunk reservation.
+// replica. If the block's stripe is encoded and its replica is lost,
+// missing or corrupt, the read degrades to erasure-coded reconstruction.
+// Cancelling ctx aborts the transfer within one chunk reservation.
 func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
 	if m := c.metrics(); m != nil {
 		defer func(t0 time.Time) { m.readLat.Observe(time.Since(t0).Seconds()) }(time.Now())
@@ -342,6 +360,11 @@ func (c *Cluster) ReadBlockCtx(ctx context.Context, client topology.NodeID, id t
 	}
 	data, err := dn.Store.Get(DataKey(id))
 	if err != nil {
+		// A missing or corrupt copy of an encoded block is one erasure of
+		// its stripe: reconstruct instead.
+		if meta, merr := c.nn.Block(id); merr == nil && meta.Encoded {
+			return c.DegradedReadCtx(ctx, client, id)
+		}
 		return nil, err
 	}
 	out, err := c.fab.TransferCtx(ctx, src, client, data)
@@ -589,9 +612,9 @@ func (c *Cluster) DegradedRead(client topology.NodeID, id topology.BlockID) ([]b
 	return c.DegradedReadCtx(context.Background(), client, id)
 }
 
-// DegradedReadCtx reconstructs a lost block from its stripe: the client
-// gathers any k surviving blocks concurrently and decodes (Section VI's
-// degraded read).
+// DegradedReadCtx reconstructs a lost block from its stripe (Section VI's
+// degraded read) through the configured reconstruction path, with the
+// reading client as the chain's terminal stage.
 func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, id topology.BlockID) ([]byte, error) {
 	out := make([]byte, c.cfg.BlockSizeBytes)
 	if err := c.degradedReadInto(ctx, client, id, out); err != nil {
@@ -601,9 +624,8 @@ func (c *Cluster) DegradedReadCtx(ctx context.Context, client topology.NodeID, i
 }
 
 // degradedReadInto reconstructs a lost block into the caller's buffer. The
-// gathered survivors live in pooled buffers and the decode runs through the
-// coder's cached inversion matrices as one fused dot product, so
-// steady-state repairs allocate only metadata.
+// survivors live in pooled buffers and fold through the coder's cached
+// decode rows, so steady-state reconstructions allocate only metadata.
 func (c *Cluster) degradedReadInto(ctx context.Context, client topology.NodeID, id topology.BlockID, out []byte) error {
 	meta, err := c.nn.Block(id)
 	if err != nil {
@@ -616,23 +638,17 @@ func (c *Cluster) degradedReadInto(ctx context.Context, client topology.NodeID, 
 	if err != nil {
 		return err
 	}
-	pos := -1
-	for i, b := range sm.Info.Blocks {
-		if b == id {
-			pos = i
-			break
-		}
-	}
+	pos := slices.Index(sm.Info.Blocks, id)
 	if pos < 0 {
 		return fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, meta.Stripe)
 	}
-	return c.gatherRepairInto(ctx, sm, pos, client, out, nil)
+	return c.repairStripePos(ctx, sm, pos, client, out, nil)
 }
 
 // gatherRepairInto reconstructs stripe position pos (data or parity) into
 // out on the naive gather path: download any k whole survivor blocks to the
-// gatherer, then decode centrally. This is the ablation baseline the
-// two-level pipeline (pipelineRepairInto) is measured against.
+// gatherer, then decode centrally. It is HDFS-RAID's repair, kept as the
+// baseline (Config.GatherRepair) the two-level chain is measured against.
 func (c *Cluster) gatherRepairInto(ctx context.Context, sm *StripeMeta, pos int, gatherer topology.NodeID, out []byte, tr *repairTraffic) error {
 	present, err := c.stripeSurvivors(ctx, gatherer, sm, tr)
 	if err != nil {
@@ -650,9 +666,8 @@ func (c *Cluster) RepairBlock(id topology.BlockID) (topology.NodeID, error) {
 }
 
 // RepairBlockCtx rebuilds a lost block onto a fresh live node and updates
-// the NameNode, the RaidNode recovery path. It returns the chosen node.
-// Config.RackAwareRepair selects the two-level pipelined reconstruction;
-// the default remains the naive gather path (the ablation baseline).
+// the NameNode, the RaidNode recovery path. It returns the chosen node,
+// picked by RecoverNode's deterministic target rule.
 func (c *Cluster) RepairBlockCtx(ctx context.Context, id topology.BlockID) (topology.NodeID, error) {
 	meta, err := c.nn.Block(id)
 	if err != nil {
@@ -665,10 +680,11 @@ func (c *Cluster) RepairBlockCtx(ctx context.Context, id topology.BlockID) (topo
 	if err != nil {
 		return 0, err
 	}
-	target, err := c.pickRepairNode(sm)
+	target, release, err := c.pickRepairTarget(sm)
 	if err != nil {
 		return 0, err
 	}
+	defer release()
 	if _, err := c.repairBlockOnto(ctx, id, sm, target); err != nil {
 		return 0, err
 	}
@@ -697,13 +713,7 @@ func (c *Cluster) repairBlockOnto(ctx context.Context, id topology.BlockID, sm *
 	if err != nil {
 		return nil, err
 	}
-	pos := -1
-	for i, b := range sm.Info.Blocks {
-		if b == id {
-			pos = i
-			break
-		}
-	}
+	pos := slices.Index(sm.Info.Blocks, id)
 	if pos < 0 {
 		return nil, fmt.Errorf("%w: block %d missing from stripe %d", ErrUnknownStripe, id, sm.Info.ID)
 	}
@@ -718,7 +728,7 @@ func (c *Cluster) repairBlockOnto(ctx context.Context, id topology.BlockID, sm *
 	buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
 	defer c.bufPool.Put(buf)
 	tr := &repairTraffic{}
-	if err := c.repairStripePos(ctx, sm, pos, target, buf, tr, span); err != nil {
+	if err := c.repairStripePos(ctx, sm, pos, target, buf, tr); err != nil {
 		return nil, err
 	}
 	dn, err := c.DataNodeOf(target)
@@ -736,25 +746,32 @@ func (c *Cluster) repairBlockOnto(ctx context.Context, id topology.BlockID, sm *
 		return nil, err
 	}
 	if j := c.Journal(); j != nil {
+		// Commit the repair as a relocation of the block's prior holder
+		// (typically a dead node) onto the target, as the parity repair
+		// does, so stream-tracking models swap the two in one event and
+		// never count both in the stripe's racks. Any further superseded
+		// holders are retired first; RepairFinished then closes the
+		// lifecycle without changing the modeled layout.
+		trace := telemetry.TraceFromContext(ctx)
+		old := slices.DeleteFunc(meta.Nodes, func(n topology.NodeID) bool { return n == target })
+		for i := len(old) - 1; i > 0; i-- {
+			del := events.New(events.ReplicaDeleted, "raidnode")
+			del.Block, del.Stripe, del.Node = id, sm.Info.ID, old[i]
+			del.Trace = trace
+			j.Publish(del)
+		}
+		if len(old) > 0 {
+			rel := events.New(events.ReplicaRelocated, "raidnode")
+			rel.Block, rel.Stripe, rel.Node, rel.Peer = id, sm.Info.ID, old[0], target
+			rel.Bytes = int64(len(buf))
+			rel.Trace = trace
+			j.Publish(rel)
+		}
 		ev := events.New(events.RepairFinished, "raidnode")
 		ev.Block, ev.Stripe, ev.Node = id, sm.Info.ID, target
 		ev.Bytes = int64(len(buf))
-		ev.Trace = telemetry.TraceFromContext(ctx)
+		ev.Trace = trace
 		j.Publish(ev)
-		// The repair supersedes the block's prior locations (typically a
-		// dead node's): retire them in the journal so stream-tracking
-		// models converge on the post-repair layout. Published after
-		// RepairFinished, so the modeled replica count never dips below
-		// one on a successful repair.
-		for _, n := range meta.Nodes {
-			if n == target {
-				continue
-			}
-			del := events.New(events.ReplicaDeleted, "raidnode")
-			del.Block, del.Stripe, del.Node = id, sm.Info.ID, n
-			del.Trace = telemetry.TraceFromContext(ctx)
-			j.Publish(del)
-		}
 	}
 	c.observeRepair(tr, int64(len(buf)), time.Since(t0))
 	c.acct.Charge(tenant.FromContext(ctx), "repair", 1, int64(len(buf)))
@@ -772,80 +789,4 @@ func (c *Cluster) observeRepair(tr *repairTraffic, repaired int64, d time.Durati
 	if s := d.Seconds(); s > 0 {
 		m.repairMBps.Observe(float64(repaired) / (1 << 20) / s)
 	}
-}
-
-// pickRepairNode selects a live node holding no block of the stripe, in a
-// rack whose stripe population stays within c (preserving fault tolerance).
-func (c *Cluster) pickRepairNode(sm *StripeMeta) (topology.NodeID, error) {
-	used := make(map[topology.NodeID]bool)
-	rackCount := make(map[topology.RackID]int)
-	note := func(n topology.NodeID) error {
-		if c.nn.IsDead(n) {
-			return nil
-		}
-		used[n] = true
-		r, err := c.top.RackOf(n)
-		if err != nil {
-			return err
-		}
-		rackCount[r]++
-		return nil
-	}
-	for _, b := range sm.Info.Blocks {
-		live, err := c.nn.LiveReplicas(b)
-		if err != nil {
-			return 0, err
-		}
-		for _, n := range live {
-			if err := note(n); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if sm.Plan != nil {
-		for _, n := range sm.Plan.Parity {
-			if err := note(n); err != nil {
-				return 0, err
-			}
-		}
-	}
-	maxPerRack := c.cfg.C
-	if maxPerRack <= 0 {
-		maxPerRack = 1
-	}
-	// Prefer racks that already hold blocks of the stripe but have spare
-	// capacity: co-locating the repaired block with survivors minimizes
-	// the cross-rack recovery downloads (Section III-D). Fall back to any
-	// rack with spare capacity.
-	pick := func(wantCoLocated bool) (topology.NodeID, bool, error) {
-		start := c.randIntn(c.top.Nodes())
-		for off := 0; off < c.top.Nodes(); off++ {
-			n := topology.NodeID((start + off) % c.top.Nodes())
-			if c.nn.IsDead(n) || used[n] {
-				continue
-			}
-			r, err := c.top.RackOf(n)
-			if err != nil {
-				return 0, false, err
-			}
-			if rackCount[r] >= maxPerRack {
-				continue
-			}
-			if wantCoLocated && rackCount[r] == 0 {
-				continue
-			}
-			return n, true, nil
-		}
-		return 0, false, nil
-	}
-	for _, coLocated := range []bool{true, false} {
-		n, ok, err := pick(coLocated)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("hdfs: no eligible repair node for stripe %d", sm.Info.ID)
 }

@@ -175,12 +175,13 @@ func TestWriteCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestParallelGatherMatchesSequential reconstructs the same lost block with
-// concurrent and with one-at-a-time survivor fetches and checks both decode
-// to the original payload.
+// TestParallelGatherMatchesSequential reconstructs the same lost block on
+// the gather path with concurrent and with one-at-a-time survivor fetches
+// and checks both decode to the original payload.
 func TestParallelGatherMatchesSequential(t *testing.T) {
 	run := func(t *testing.T, sequential bool) {
 		cfg := testConfig("ear")
+		cfg.GatherRepair = true
 		cfg.SequentialDataPath = sequential
 		c, err := NewCluster(cfg)
 		if err != nil {

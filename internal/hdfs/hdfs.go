@@ -89,15 +89,18 @@ type Config struct {
 	// chunks fill the pipeline faster; larger ones amortize per-chunk
 	// shaping overhead.
 	PipelineChunkBytes int
-	// RackAwareRepair switches block repair from the naive gather path
-	// (download k whole survivor blocks to the repairer, decode centrally)
-	// to the two-level rack-aware path: every survivor rack folds its local
-	// survivors into one GF(256) partial sum with decode-row coefficients
-	// and ships exactly one partial across the core, chunk-pipelined along
-	// the planned chain toward the repairer. The gather path remains the
-	// ablation baseline; SequentialDataPath forces it. Repaired content is
-	// bit-identical either way.
-	RackAwareRepair bool
+	// GatherRepair reverts every reconstruction — degraded reads, block
+	// repair and node recovery — to HDFS-RAID's naive gather: download k
+	// whole survivor blocks to the reader or repair target and decode
+	// there. By default reconstruction runs the two-level rack-aware
+	// chain: every survivor rack folds its local survivors into one GF(256)
+	// partial sum with decode-row coefficients and ships exactly one
+	// partial across the core, chunk-pipelined along the planned chain
+	// toward the target, with each hop's disk reads charged ahead of its
+	// upstream receive. The gather is the ablation baseline;
+	// SequentialDataPath forces it. Reconstructed content is bit-identical
+	// either way.
+	GatherRepair bool
 	// RecoverParallelism bounds how many block repairs Cluster.RecoverNode
 	// runs concurrently when rebuilding a dead DataNode (default 8).
 	RecoverParallelism int
@@ -193,6 +196,12 @@ type Cluster struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 	ns    *Namespace
+
+	// repairMu guards repairing, the repair targets picked (by
+	// pickRepairTarget or a RecoverNode plan) whose member is not yet
+	// committed, per stripe.
+	repairMu  sync.Mutex
+	repairing map[topology.StripeID][]topology.NodeID
 
 	// tel, tracer, and jrn are the observability sinks, installed by
 	// SetTelemetry / SetTracer / SetJournal (atomic so installation never

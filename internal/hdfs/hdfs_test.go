@@ -462,4 +462,12 @@ func TestCorruptReplicaFallsBackInDegradedRead(t *testing.T) {
 	if !bytes.Equal(got, contents[ids[2]]) {
 		t.Fatal("reconstruction produced wrong data")
 	}
+	// A plain read of the block falls back to the same reconstruction.
+	got, err = c.ReadBlock(1, ids[2])
+	if err != nil {
+		t.Fatalf("ReadBlock with corrupt replica: %v", err)
+	}
+	if !bytes.Equal(got, contents[ids[2]]) {
+		t.Fatal("ReadBlock fallback produced wrong data")
+	}
 }

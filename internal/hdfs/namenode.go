@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -161,7 +162,10 @@ type NameNode struct {
 	nextStripe  topology.StripeID
 	stripes     map[topology.StripeID]*StripeMeta
 	preEncoding []*placement.StripeInfo
-	rng         *rand.Rand
+	// planSeed seeds every stripe's post-encoding plan together with the
+	// stripe ID, so a stripe's parity placement does not depend on the
+	// order concurrent map tasks plan their stripes in.
+	planSeed int64
 	// planOverride, when non-nil, rewrites every post-encoding plan before
 	// it is returned — a test-only hook for staging deliberately mis-placed
 	// stripes the auditor must catch. Guarded by mu.
@@ -238,11 +242,11 @@ type nnMetrics struct {
 }
 
 // newNameNode builds the shared core; callers attach placement shards.
-func newNameNode(cfg placement.Config, policyName string, rng *rand.Rand, serialize bool) *NameNode {
+func newNameNode(cfg placement.Config, policyName string, planSeed int64, serialize bool) *NameNode {
 	nn := &NameNode{
 		cfg:        cfg,
 		policyName: policyName,
-		rng:        rng,
+		planSeed:   planSeed,
 		stripes:    make(map[topology.StripeID]*StripeMeta),
 		dead:       make(map[topology.NodeID]bool),
 		serialize:  serialize,
@@ -263,7 +267,7 @@ func NewNameNode(cfg placement.Config, policy placement.Policy, rng *rand.Rand) 
 	if policy == nil || rng == nil {
 		return nil, fmt.Errorf("%w: nil policy or rng", placement.ErrInvalidConfig)
 	}
-	nn := newNameNode(cfg, policy.Name(), rng, false)
+	nn := newNameNode(cfg, policy.Name(), rng.Int63(), false)
 	nn.shards = []*placementShard{{policy: policy}}
 	return nn, nil
 }
@@ -276,7 +280,7 @@ func NewShardedNameNode(cfg placement.Config, policyName string, seed int64, ser
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nn := newNameNode(cfg, policyName, rand.New(rand.NewSource(seed)), serialize)
+	nn := newNameNode(cfg, policyName, seed, serialize)
 	shards := cfg.Topology.Racks()
 	for i := 0; i < shards; i++ {
 		var pol placement.Policy
@@ -871,12 +875,16 @@ func (nn *NameNode) FlushOpenStripes() (int, error) {
 	return count, nil
 }
 
-// PlanStripe computes the post-encoding layout for a stripe.
+// PlanStripe computes the post-encoding layout for a stripe. Its random
+// choices draw from an rng derived from the NameNode's seed and the stripe
+// ID alone, so the same seed yields the same plan for a stripe however
+// concurrent encoders interleave.
 func (nn *NameNode) PlanStripe(info *placement.StripeInfo) (*placement.PostEncodingPlan, error) {
 	defer nn.serialSection()()
+	rng := rand.New(rand.NewSource(nn.planSeed ^ int64(info.ID)*0x5851F42D4C957F2D))
+	plan, err := placement.PlanPostEncoding(nn.cfg, info, rng)
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	plan, err := placement.PlanPostEncoding(nn.cfg, info, nn.rng)
 	if err == nil && nn.planOverride != nil {
 		nn.planOverride(info, plan)
 	}
@@ -1060,8 +1068,29 @@ func (nn *NameNode) IsDead(n topology.NodeID) bool {
 // BlockMover and by repair). No NameNode event: the data-path layer that
 // moved the bytes publishes ReplicaRelocated/ReplicaDeleted.
 func (nn *NameNode) UpdateBlockLocation(id topology.BlockID, nodes []topology.NodeID) error {
+	return nn.moveBlock(id, func(*BlockMeta) ([]topology.NodeID, error) { return nodes, nil })
+}
+
+// ReplaceReplica swaps holder old for replacement in the replica set of a
+// block that is not yet encoded, in one step under the block's lock, so a
+// concurrent encode commit is never overwritten. It fails if the block no
+// longer lists old.
+func (nn *NameNode) ReplaceReplica(id topology.BlockID, old, replacement topology.NodeID) error {
+	return nn.moveBlock(id, func(meta *BlockMeta) ([]topology.NodeID, error) {
+		i := slices.Index(meta.Nodes, old)
+		if i < 0 || meta.Encoded {
+			return nil, fmt.Errorf("%w: block %d has no replicated copy on node %d", ErrNoReplica, id, old)
+		}
+		nodes := slices.Clone(meta.Nodes)
+		nodes[i] = replacement
+		return nodes, nil
+	})
+}
+
+// moveBlock logs and applies the replica set next computes from the
+// block's current metadata; the shared body of the block-moved op.
+func (nn *NameNode) moveBlock(id topology.BlockID, next func(*BlockMeta) ([]topology.NodeID, error)) error {
 	defer nn.serialSection()()
-	op := &nnOp{kind: opBlockMoved, block: id, nodes: nodes}
 	bs := nn.blockShardFor(id)
 	bs.mu.Lock()
 	meta, ok := bs.blocks[id]
@@ -1069,7 +1098,12 @@ func (nn *NameNode) UpdateBlockLocation(id topology.BlockID, nodes []topology.No
 		bs.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownBlock, id)
 	}
-	lsn, err := nn.logOp(op)
+	nodes, err := next(meta)
+	if err != nil {
+		bs.mu.Unlock()
+		return err
+	}
+	lsn, err := nn.logOp(&nnOp{kind: opBlockMoved, block: id, nodes: nodes})
 	if err != nil {
 		bs.mu.Unlock()
 		return err
@@ -1077,6 +1111,25 @@ func (nn *NameNode) UpdateBlockLocation(id topology.BlockID, nodes []topology.No
 	applyBlockMovedLocked(meta, nodes)
 	bs.mu.Unlock()
 	return nn.waitDurable(lsn)
+}
+
+// BlocksOn lists, in ascending order, the blocks whose replica set names
+// node n.
+func (nn *NameNode) BlocksOn(n topology.NodeID) []topology.BlockID {
+	defer nn.serialSection()()
+	var out []topology.BlockID
+	for i := range nn.blockTab {
+		bs := &nn.blockTab[i]
+		bs.mu.RLock()
+		for id, meta := range bs.blocks {
+			if slices.Contains(meta.Nodes, n) {
+				out = append(out, id)
+			}
+		}
+		bs.mu.RUnlock()
+	}
+	slices.Sort(out)
+	return out
 }
 
 // applyBlockMovedLocked rewrites the block's replica set; the shared apply

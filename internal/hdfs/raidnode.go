@@ -395,6 +395,11 @@ func (c *Cluster) encodeStripe(ctx context.Context, info *placement.StripeInfo, 
 	if err != nil {
 		return res, err
 	}
+	// Plan and delete over the replicas the members hold now: recovery may
+	// have re-replicated a member's copy since the stripe was grouped.
+	if info, err = c.currentPlacements(info); err != nil {
+		return res, err
+	}
 	plan, err := c.nn.PlanStripe(info)
 	if err != nil {
 		return res, err
@@ -766,15 +771,16 @@ func (r *RaidNode) fixStripe(ctx context.Context, id topology.StripeID) (int, in
 			movedBytes += b
 			continue
 		}
-		target, err := r.c.pickRepairNode(sm)
+		target, release, err := r.c.pickRepairTarget(sm)
 		if err != nil {
 			return moved, movedBytes, err
 		}
 		n, err := r.c.relocateBlock(ctx, DataKey(victim), victimNode, target)
-		if err != nil {
-			return moved, movedBytes, err
+		if err == nil {
+			err = r.c.nn.UpdateBlockLocation(victim, []topology.NodeID{target})
 		}
-		if err := r.c.nn.UpdateBlockLocation(victim, []topology.NodeID{target}); err != nil {
+		release()
+		if err != nil {
 			return moved, movedBytes, err
 		}
 		if jnl := r.c.Journal(); jnl != nil {
@@ -805,15 +811,16 @@ func (r *RaidNode) fixParity(ctx context.Context, sm *StripeMeta, overRack topol
 		if rk != overRack {
 			continue
 		}
-		target, err := r.c.pickRepairNode(sm)
+		target, release, err := r.c.pickRepairTarget(sm)
 		if err != nil {
 			return 0, err
 		}
 		n, err := r.c.relocateBlock(ctx, ParityKey(sm.Info.ID, j), node, target)
-		if err != nil {
-			return 0, err
+		if err == nil {
+			err = r.c.nn.UpdateParityLocation(sm.Info.ID, j, target)
 		}
-		if err := r.c.nn.UpdateParityLocation(sm.Info.ID, j, target); err != nil {
+		release()
+		if err != nil {
 			return 0, err
 		}
 		if jnl := r.c.Journal(); jnl != nil {

@@ -2,6 +2,8 @@ package hdfs
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"ear/internal/mapred"
@@ -429,5 +431,62 @@ func TestStatsSinceCursorSemantics(t *testing.T) {
 	dZ, _ := c.RaidNode().StatsSince(curR)
 	if dZ.Stripes != 0 || dZ.EncodedBytes != 0 || dZ.Duration != 0 {
 		t.Errorf("post-reset empty delta nonzero: %+v", dZ)
+	}
+}
+
+// TestParityPlacementDeterministic runs two EncodeAlls in parallel on
+// clusters built from one seed and one write sequence, each with
+// concurrent map tasks: every stripe gets the same parity placement on
+// both, because a stripe's plan depends on the seed and its ID, not on the
+// order the encoders plan stripes in.
+func TestParityPlacementDeterministic(t *testing.T) {
+	cfg := testConfig("ear")
+	cfg.MapTasks = 4
+	var clusters [2]*Cluster
+	for i := range clusters {
+		c, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		writeBlocks(t, c, 8*cfg.K, rand.New(rand.NewSource(71)))
+		if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+			t.Fatal(err)
+		}
+		clusters[i] = c
+	}
+	var wg sync.WaitGroup
+	var errs [2]error
+	for i, c := range clusters {
+		i, c := i, c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = c.RaidNode().EncodeAll()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := clusters[0].NameNode(), clusters[1].NameNode()
+	ids := a.EncodedStripes()
+	if len(ids) < 4 || !slices.Equal(ids, b.EncodedStripes()) {
+		t.Fatalf("encoded stripes %v and %v", ids, b.EncodedStripes())
+	}
+	for _, sid := range ids {
+		sa, err := a.Stripe(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := b.Stripe(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sa.Plan.Parity, sb.Plan.Parity) {
+			t.Errorf("stripe %d parity placed %v and %v from one seed", sid, sa.Plan.Parity, sb.Plan.Parity)
+		}
 	}
 }

@@ -1,12 +1,14 @@
 package hdfs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"ear/internal/events"
+	"ear/internal/events/audit"
 	"ear/internal/progress"
 	"ear/internal/telemetry"
 	"ear/internal/topology"
@@ -20,8 +22,7 @@ import (
 func TestRecoverNode(t *testing.T) {
 	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
 		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
-		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 7,
-		RackAwareRepair: true}
+		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 7}
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +53,25 @@ func TestRecoverNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The plan's targets stay reserved: every other pick for their stripe
+	// counts them as occupied until the plan is released.
+	for _, task := range plan1 {
+		c.repairMu.Lock()
+		used, _, err := c.stripeOccupancy(task.sm)
+		c.repairMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !used[task.target] {
+			t.Fatalf("planned target %d of stripe %d is not reserved", task.target, task.sm.Info.ID)
+		}
+	}
+	c.releaseTargets(plan1)
 	plan2, err := c.planNodeRecovery(dead)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.releaseTargets(plan2)
 	if len(plan1) != len(plan2) {
 		t.Fatalf("plan sizes differ: %d vs %d", len(plan1), len(plan2))
 	}
@@ -180,7 +196,7 @@ func TestRecoverNode(t *testing.T) {
 func TestRepairTelemetry(t *testing.T) {
 	for _, rackAware := range []bool{false, true} {
 		cfg := testConfig("ear")
-		cfg.RackAwareRepair = rackAware
+		cfg.GatherRepair = !rackAware
 		c, err := NewCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +244,6 @@ func TestRepairTelemetry(t *testing.T) {
 // RecoverNode surfaces the error instead of silently skipping the stripe.
 func TestRecoverNodeUnrecoverable(t *testing.T) {
 	cfg := testConfig("ear")
-	cfg.RackAwareRepair = true
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -276,5 +291,251 @@ func TestRecoverNodeUnrecoverable(t *testing.T) {
 	}
 	if _, err := c.RecoverNode(context.Background(), dead); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("RecoverNode over an unrecoverable stripe = %v, want ErrNoReplica", err)
+	}
+}
+
+// TestRecoverNodeReplicatesUnencodedBlocks: a node dies holding copies of
+// blocks not yet encoded. RecoverNode re-replicates each from a surviving
+// replica (skipping a corrupt nearest one), the replica-count exposure
+// windows close, and a later encode plans over the current replica sets:
+// it keeps one good copy per block and deletes every other one.
+func TestRecoverNodeReplicatesUnencodedBlocks(t *testing.T) {
+	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 3,
+		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
+		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 11}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	jrn := events.NewJournal(1 << 15)
+	c.SetJournal(jrn)
+	aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
+	defer aud.Attach(jrn)()
+	tracker := progress.New(progress.Config{Replicas: cfg.Replicas, Policy: cfg.Policy})
+	defer tracker.Attach(jrn)()
+
+	rng := rand.New(rand.NewSource(53))
+	_, contents := writeBlocks(t, c, 3*cfg.K, rng)
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	// A second batch stays replicated: some in sealed stripes awaiting
+	// encoding, the rest in open stripes.
+	_, more := writeBlocks(t, c, 2*cfg.K+3, rng)
+	for id, data := range more {
+		contents[id] = data
+	}
+	nn := c.NameNode()
+	holds := make(map[topology.NodeID]int)
+	for id := range more {
+		meta, err := nn.Block(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range meta.Nodes {
+			holds[n]++
+		}
+	}
+	var dead topology.NodeID = -1
+	for n, cnt := range holds {
+		if dead < 0 || cnt > holds[dead] || (cnt == holds[dead] && n < dead) {
+			dead = n
+		}
+	}
+	nn.MarkDead(dead)
+	if rep := tracker.Report(); rep.BlocksAtRisk == 0 {
+		t.Fatal("node death opened no exposure windows")
+	}
+
+	plan, err := c.planNodeRecovery(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.releaseTargets(plan)
+	copies := 0
+	var corrupted topology.BlockID = -1
+	var corruptNode topology.NodeID
+	for _, task := range plan {
+		if task.sm != nil {
+			continue
+		}
+		copies++
+		if corrupted >= 0 {
+			continue
+		}
+		// Corrupt the replica the copy would read first.
+		live, err := nn.LiveReplicas(task.block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(live) < 2 {
+			continue
+		}
+		r, err := c.Topology().RackOf(task.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := c.nearestReplica(live, task.target, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dn, err := c.DataNodeOf(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dn.Store.Corrupt(DataKey(task.block)); err != nil {
+			t.Fatal(err)
+		}
+		corrupted, corruptNode = task.block, src
+	}
+	if copies == 0 || corrupted < 0 {
+		t.Fatalf("plan has %d re-replications (corrupted %d), want some", copies, corrupted)
+	}
+
+	stats, err := c.RecoverNode(context.Background(), dead)
+	if err != nil {
+		t.Fatalf("RecoverNode: %v", err)
+	}
+	if stats.BlocksReplicated != copies {
+		t.Fatalf("re-replicated %d blocks, planned %d", stats.BlocksReplicated, copies)
+	}
+	if got := nn.BlocksOn(dead); len(got) != 0 {
+		t.Fatalf("blocks %v still list dead node %d", got, dead)
+	}
+	for id := range more {
+		live, err := nn.LiveReplicas(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(live) != cfg.Replicas {
+			t.Fatalf("block %d has %d live replicas after recovery, want %d", id, len(live), cfg.Replicas)
+		}
+	}
+	meta, err := nn.Block(corrupted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range meta.Nodes {
+		if n == corruptNode {
+			continue
+		}
+		dn, err := c.DataNodeOf(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dn.Store.Get(DataKey(corrupted))
+		if err != nil || !bytes.Equal(got, contents[corrupted]) {
+			t.Fatalf("block %d on node %d after re-replication: %v", corrupted, n, err)
+		}
+	}
+	if rep := tracker.Report(); rep.BlocksAtRisk != 0 {
+		t.Fatalf("blocks at risk after recovery = %d, want 0", rep.BlocksAtRisk)
+	}
+	if v := aud.Report().Ongoing; len(v) > 0 {
+		t.Fatalf("auditor: %d ongoing violations, first %+v", len(v), v[0])
+	}
+
+	// Mend the corrupt replica (no scrubber yet), then encode the rest.
+	dn, err := c.DataNodeOf(corruptNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dn.Store.Delete(DataKey(corrupted)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dn.Store.Put(DataKey(corrupted), contents[corrupted]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nn.FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	for id := range contents {
+		meta, err := nn.Block(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !meta.Encoded || len(meta.Nodes) != 1 || meta.Nodes[0] == dead {
+			t.Fatalf("block %d after encode: %+v", id, meta)
+		}
+		stored := 0
+		for n := 0; n < c.Topology().Nodes(); n++ {
+			if topology.NodeID(n) == dead {
+				continue
+			}
+			dn, err := c.DataNodeOf(topology.NodeID(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dn.Store.Has(DataKey(id)) {
+				stored++
+			}
+		}
+		if stored != 1 {
+			t.Fatalf("block %d stored on %d live nodes after encode, want 1", id, stored)
+		}
+	}
+	verifyBlockContents(t, c, contents)
+	verifyParities(t, c, contents)
+	if v := aud.Report().Ongoing; len(v) > 0 {
+		t.Fatalf("auditor after encode: %d ongoing violations, first %+v", len(v), v[0])
+	}
+}
+
+// TestRepairTargetsSpread: repair targets reserved for many stripes at once
+// spread over the live nodes instead of piling onto one, and releasing
+// them clears every reservation.
+func TestRepairTargetsSpread(t *testing.T) {
+	cfg := Config{Racks: 4, NodesPerRack: 4, Policy: "ear", Replicas: 2,
+		K: 6, N: 9, C: 3, BlockSizeBytes: 8 << 10,
+		BandwidthBytesPerSec: 64 << 20, MapTasks: 4, Seed: 7}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	writeBlocks(t, c, 12*cfg.K, rand.New(rand.NewSource(59)))
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	nn := c.NameNode()
+	perNode := make(map[topology.NodeID]int)
+	var releases []func()
+	for _, sid := range nn.EncodedStripes() {
+		sm, err := nn.Stripe(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target, release, err := c.pickRepairTarget(sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perNode[target]++
+		releases = append(releases, release)
+	}
+	nodes := c.Topology().Nodes()
+	fair := (len(releases) + nodes - 1) / nodes
+	for n, load := range perNode {
+		if load > fair+1 {
+			t.Errorf("node %d holds %d of %d reserved targets, fair share %d", n, load, len(releases), fair)
+		}
+	}
+	for _, release := range releases {
+		release()
+	}
+	c.repairMu.Lock()
+	left := len(c.repairing)
+	c.repairMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d stripes still hold reservations after release", left)
 	}
 }

@@ -1,20 +1,22 @@
 package hdfs
 
-// Two-level rack-aware repair. The naive repair path downloads k whole
-// survivor blocks across the core to one gatherer and decodes centrally —
-// the exact cross-rack bottleneck the paper's EAR placement eliminates for
-// encoding but never for repair. Following the rack-aware regenerating-code
-// observation (Hou, Lee, Shum, Hu), reconstruction is a single GF(256) dot
-// product over k survivors, so each survivor rack can fold its local
-// survivors into one partial sum (decode-row coefficients from the coder's
-// inversion cache) and ship exactly one partial across the core. The chain
-// planner (placement.PlanPipeline, generalized here from parity rows to
-// decode rows) orders the hops rack-contiguously with the repairer's rack
-// last, and the hops walk the block chunk by chunk over real fabric
-// streams, so transfer overlaps arithmetic and per-repair cross-rack
-// traffic drops from ~k blocks to one partial per survivor rack boundary.
-// Nothing is stored until the whole pipeline has succeeded: a canceled
-// repair commits nothing.
+// Two-level rack-aware reconstruction, the default for degraded reads,
+// block repair and node recovery. The naive gather downloads k whole
+// survivor blocks to one node and decodes centrally — the exact cross-rack
+// bottleneck the paper's EAR placement eliminates for encoding but never
+// for repair. Following the rack-aware regenerating-code observation (Hou,
+// Lee, Shum, Hu), reconstruction is a single GF(256) dot product over k
+// survivors, so each survivor rack can fold its local survivors into one
+// partial sum (decode-row coefficients from the coder's inversion cache)
+// and ship exactly one partial across the core. The chain planner
+// (placement.PlanPipeline, generalized here from parity rows to decode
+// rows) orders the hops rack-contiguously with the target's rack last, and
+// the hops walk the block chunk by chunk over real fabric streams
+// (RapidRAID-style pipelining), so a chain of h hops costs about
+// (h + chunks - 1) chunk times instead of h block times. Each hop charges
+// its local disk reads ahead of the upstream partial on a read-ahead
+// goroutine, so disk time overlaps the receive. Nothing is stored until
+// the whole chain has succeeded: a canceled repair commits nothing.
 
 import (
 	"context"
@@ -32,14 +34,15 @@ import (
 )
 
 // repairStripePos reconstructs stripe position pos (data or parity) into
-// out on the configured repair path: the two-level rack-aware pipeline when
-// Config.RackAwareRepair is set (SequentialDataPath forces the baseline),
-// else the naive gather. Both paths produce bit-identical content.
-func (c *Cluster) repairStripePos(ctx context.Context, sm *StripeMeta, pos int, target topology.NodeID, out []byte, tr *repairTraffic, parent *telemetry.Span) error {
-	if c.cfg.RackAwareRepair && !c.cfg.SequentialDataPath {
-		return c.pipelineRepairInto(ctx, sm, pos, target, out, tr, parent)
+// out for target: through the two-level chain by default, through the
+// naive gather (the HDFS-RAID baseline) when Config.GatherRepair or
+// SequentialDataPath selects it. Both paths produce bit-identical content.
+// Hop spans hang off the span carried by ctx.
+func (c *Cluster) repairStripePos(ctx context.Context, sm *StripeMeta, pos int, target topology.NodeID, out []byte, tr *repairTraffic) error {
+	if c.cfg.GatherRepair || c.cfg.SequentialDataPath {
+		return c.gatherRepairInto(ctx, sm, pos, target, out, tr)
 	}
-	return c.gatherRepairInto(ctx, sm, pos, target, out, tr)
+	return c.pipelineRepairInto(ctx, sm, pos, target, out, tr)
 }
 
 // repairPosKey returns the store key for a stripe position: the data block
@@ -51,183 +54,202 @@ func (c *Cluster) repairPosKey(sm *StripeMeta, pos int) blockstore.Key {
 	return ParityKey(sm.Info.ID, pos-c.cfg.K)
 }
 
-// copyRepairInto serves the degenerate repair where the target position
-// still has a live holder: read the block there and ship it to the target
-// over one shaped stream.
-func (c *Cluster) copyRepairInto(ctx context.Context, key blockstore.Key, src, target topology.NodeID, out []byte, tr *repairTraffic) error {
-	dn, err := c.DataNodeOf(src)
-	if err != nil {
-		return err
-	}
-	if err := dn.Store.GetInto(key, out); err != nil {
-		return err
-	}
-	st, err := c.fab.OpenStream(ctx, src, target)
-	if err != nil {
-		return err
-	}
-	err = st.Send(ctx, len(out))
-	st.Close()
-	if err != nil {
-		return err
-	}
-	tr.addStream(st, int64(len(out)))
-	return nil
+// survivorCopy names one stored copy of a stripe position: position pos as
+// held by node.
+type survivorCopy struct {
+	pos  int
+	node topology.NodeID
 }
 
-// repairSurvivors selects the k survivor positions reconstructing pos and
-// resolves their holders. Positions are taken ascending (data before
-// parity, mirroring the central decoder's pickSurvivors): a data position
-// survives when it has a live replica, short-stripe padding and aborted
-// members survive for free as known zeros (no holder, no hop), and a
-// parity position survives when its holder is alive. It returns the
-// ascending index set and the live holders per stripe position (empty for
-// zero-content survivors).
-func (c *Cluster) repairSurvivors(sm *StripeMeta, pos int) ([]int, [][]topology.NodeID, error) {
-	k, n := c.cfg.K, c.cfg.N
-	indices := make([]int, 0, k)
-	holders := make([][]topology.NodeID, n)
-	for i := 0; i < n && len(indices) < k; i++ {
-		if i == pos {
-			continue
+// positionHolders returns the live holders of stripe position i, minus the
+// copies already found missing or corrupt, and whether the position is a
+// known zero that survives without a holder (short-stripe padding, or an
+// aborted member encoded as zeros).
+func (c *Cluster) positionHolders(sm *StripeMeta, i int, bad map[survivorCopy]bool) ([]topology.NodeID, bool, error) {
+	var nodes []topology.NodeID
+	switch {
+	case i < len(sm.Info.Blocks):
+		live, err := c.nn.LiveReplicas(sm.Info.Blocks[i])
+		if err != nil {
+			return nil, false, err
 		}
-		switch {
-		case i < len(sm.Info.Blocks):
-			live, err := c.nn.LiveReplicas(sm.Info.Blocks[i])
+		if len(live) == 0 {
+			meta, err := c.nn.Block(sm.Info.Blocks[i])
+			if err != nil {
+				return nil, false, err
+			}
+			return nil, meta.Aborted, nil
+		}
+		nodes = live
+	case i < c.cfg.K:
+		return nil, true, nil
+	default:
+		node := sm.Plan.Parity[i-c.cfg.K]
+		if c.nn.IsDead(node) {
+			return nil, false, nil
+		}
+		nodes = []topology.NodeID{node}
+	}
+	kept := nodes[:0]
+	for _, n := range nodes {
+		if !bad[survivorCopy{i, n}] {
+			kept = append(kept, n)
+		}
+	}
+	return kept, false, nil
+}
+
+// planRepairChain plans the chain reconstructing pos at target, skipping
+// the copies in bad. When the position itself still has a good live copy
+// the chain degenerates to a copy from its nearest holder (a unit decode
+// row). Otherwise the survivors are the first k positions ascending (data
+// before parity, mirroring the central decoder's pickSurvivors); known
+// zeros survive for free with no hop. It returns the planned hops and the
+// decode coefficient of every stripe position (zero for non-survivors).
+func (c *Cluster) planRepairChain(sm *StripeMeta, pos int, target topology.NodeID, bad map[survivorCopy]bool) ([]placement.PipelineHop, []byte, error) {
+	k, n := c.cfg.K, c.cfg.N
+	holders := make([][]topology.NodeID, n)
+	coef := make([]byte, n)
+	own, _, err := c.positionHolders(sm, pos, bad)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(own) > 0 {
+		holders[pos], coef[pos] = own, 1
+	} else {
+		indices := make([]int, 0, k)
+		for i := 0; i < n && len(indices) < k; i++ {
+			if i == pos {
+				continue
+			}
+			nodes, zero, err := c.positionHolders(sm, i, bad)
 			if err != nil {
 				return nil, nil, err
 			}
-			if len(live) == 0 {
-				meta, err := c.nn.Block(sm.Info.Blocks[i])
-				if err != nil {
-					return nil, nil, err
-				}
-				if !meta.Aborted {
-					continue // lost, not a survivor
-				}
-				// Aborted members encoded as zeros: free survivors.
+			if len(nodes) == 0 && !zero {
+				continue // lost, not a survivor
 			}
-			holders[i] = live
-		case i < k:
-			// Short-stripe padding: known zero content, no hop needed.
-		default:
-			node := sm.Plan.Parity[i-k]
-			if c.nn.IsDead(node) {
-				continue
-			}
-			holders[i] = []topology.NodeID{node}
+			holders[i] = nodes
+			indices = append(indices, i)
 		}
-		indices = append(indices, i)
+		if len(indices) < k {
+			return nil, nil, fmt.Errorf("%w: stripe %d position %d: only %d of %d survivors available",
+				ErrNoReplica, sm.Info.ID, pos, len(indices), k)
+		}
+		row, err := c.coder.DecodeRow(indices, pos)
+		if err != nil {
+			return nil, nil, err
+		}
+		for j, i := range indices {
+			coef[i] = row[j]
+		}
 	}
-	if len(indices) < k {
-		return nil, nil, fmt.Errorf("%w: stripe %d position %d: only %d of %d survivors available",
-			ErrNoReplica, sm.Info.ID, pos, len(indices), k)
+	hops, err := placement.PlanPipeline(c.top, holders, target)
+	if err != nil {
+		return nil, nil, fmt.Errorf("stripe %d: %w", sm.Info.ID, err)
 	}
-	return indices, holders, nil
+	return hops, coef, nil
 }
 
-// repairStage is one hop of the repair pipeline at runtime: the planned hop
-// plus the single decode partial-sum accumulator. The last stage
-// accumulates directly into the repaired block.
+// repairStage is one hop of the chain at runtime: its node, the survivor
+// positions it folds and their blocks (pooled, read before the chain
+// starts). The terminal receive-only stage at the target has none.
 type repairStage struct {
 	node      topology.NodeID
-	rack      topology.RackID
 	positions []int
-	acc       []byte
+	blocks    [][]byte
 	// crossIn records whether the inbound partial-sum stream crossed the
 	// rack core (set by the stage goroutine, read after the join).
 	crossIn bool
 }
 
-// pipelineRepairInto reconstructs stripe position pos into out through the
-// two-level chain: PlanPipeline orders the survivor holders
-// rack-contiguously with the target's rack last, every hop folds its local
-// survivors into the single decode partial sum (coef·block per position,
-// coefficients from the cached decode row), and each rack boundary ships
-// exactly one partial-sum block, chunk by chunk over real fabric streams.
-func (c *Cluster) pipelineRepairInto(ctx context.Context, sm *StripeMeta, pos int, target topology.NodeID, out []byte, tr *repairTraffic, parent *telemetry.Span) error {
+// loadRepairStages builds the chain's stages from the planned hops,
+// reading every hop's local survivors into pooled buffers and appending a
+// terminal stage when the chain does not end at the target. A copy that is
+// missing or fails its checksum is returned as failed (nothing else held)
+// so the caller re-plans without it, as the gather treats it as erased.
+func (c *Cluster) loadRepairStages(sm *StripeMeta, hops []placement.PipelineHop, target topology.NodeID) ([]*repairStage, *survivorCopy, error) {
+	stages := make([]*repairStage, 0, len(hops)+1)
+	for _, h := range hops {
+		dn, err := c.DataNodeOf(h.Node)
+		if err != nil {
+			c.releaseStages(stages)
+			return nil, nil, err
+		}
+		st := &repairStage{node: h.Node, positions: h.Positions}
+		stages = append(stages, st)
+		for _, p := range h.Positions {
+			buf := c.bufPool.Get(c.cfg.BlockSizeBytes)
+			if err := dn.Store.GetInto(c.repairPosKey(sm, p), buf); err != nil {
+				c.bufPool.Put(buf)
+				c.releaseStages(stages)
+				return nil, &survivorCopy{p, h.Node}, nil
+			}
+			st.blocks = append(st.blocks, buf)
+		}
+	}
+	if len(stages) > 0 && stages[len(stages)-1].node != target {
+		stages = append(stages, &repairStage{node: target})
+	}
+	return stages, nil, nil
+}
+
+// releaseStages returns the stages' survivor buffers to the pool.
+func (c *Cluster) releaseStages(stages []*repairStage) {
+	for _, st := range stages {
+		for _, b := range st.blocks {
+			c.bufPool.Put(b)
+		}
+	}
+}
+
+// pipelineRepairInto reconstructs stripe position pos into out at target
+// through the two-level chain. A survivor copy that turns out missing or
+// corrupt is dropped and the chain re-planned, so the chain fails only
+// when fewer than k good survivors remain.
+func (c *Cluster) pipelineRepairInto(ctx context.Context, sm *StripeMeta, pos int, target topology.NodeID, out []byte, tr *repairTraffic) error {
 	if sm.Plan == nil {
 		return fmt.Errorf("%w: stripe %d not encoded", ErrUnknownStripe, sm.Info.ID)
 	}
-	blockSize := c.cfg.BlockSizeBytes
-	targetRack, err := c.top.RackOf(target)
-	if err != nil {
-		return err
-	}
-	// Live content at the position itself: repair degrades to a copy from
-	// the nearest holder (the gather path does the same through present).
-	if pos < len(sm.Info.Blocks) {
-		live, err := c.nn.LiveReplicas(sm.Info.Blocks[pos])
+	bad := make(map[survivorCopy]bool)
+	for {
+		hops, coef, err := c.planRepairChain(sm, pos, target, bad)
 		if err != nil {
 			return err
 		}
-		if len(live) > 0 {
-			src, err := c.nearestReplica(live, target, targetRack)
-			if err != nil {
-				return err
-			}
-			return c.copyRepairInto(ctx, c.repairPosKey(sm, pos), src, target, out, tr)
+		stages, failed, err := c.loadRepairStages(sm, hops, target)
+		if err != nil {
+			return err
 		}
-	} else if node := sm.Plan.Parity[pos-c.cfg.K]; !c.nn.IsDead(node) {
-		return c.copyRepairInto(ctx, c.repairPosKey(sm, pos), node, target, out, tr)
+		if failed == nil {
+			defer c.releaseStages(stages)
+			return c.runRepairChain(ctx, sm, stages, coef, out, tr)
+		}
+		bad[*failed] = true
 	}
+}
 
-	indices, holders, err := c.repairSurvivors(sm, pos)
-	if err != nil {
-		return err
-	}
-	row, err := c.coder.DecodeRow(indices, pos)
-	if err != nil {
-		return err
-	}
-	coefOf := make(map[int]byte, len(indices))
-	for i, sidx := range indices {
-		coefOf[sidx] = row[i]
-	}
-	hops, err := placement.PlanPipeline(c.top, holders, target)
-	if err != nil {
-		return fmt.Errorf("stripe %d: %w", sm.Info.ID, err)
-	}
-	if len(hops) == 0 {
+// runRepairChain walks the loaded stages chunk by chunk. Every stage folds
+// in place into out, the chain's single accumulator: stage 0 zero-fills
+// each chunk, later stages first receive the upstream partial over their
+// inbound stream, then add coef·block for their local survivors. The
+// ready channels order the stages on every chunk index, so no two stages
+// touch one chunk range at once.
+func (c *Cluster) runRepairChain(ctx context.Context, sm *StripeMeta, stages []*repairStage, coef, out []byte, tr *repairTraffic) error {
+	blockSize := c.cfg.BlockSizeBytes
+	if len(stages) == 0 {
 		// Every chosen survivor is a known zero (a nearly empty short
 		// stripe): the decode dot product over zeros is zero.
-		copy(out, c.zeroBlock)
+		clear(out)
 		return nil
 	}
-
-	// Runtime stages: one per planned hop, plus a terminal receive-only
-	// stage when the chain does not already end at the target. Intermediate
-	// accumulators are pooled; the last stage accumulates into out.
-	stages := make([]*repairStage, 0, len(hops)+1)
-	for _, h := range hops {
-		stages = append(stages, &repairStage{node: h.Node, rack: h.Rack, positions: h.Positions})
-	}
-	if last := stages[len(stages)-1]; last.node != target {
-		stages = append(stages, &repairStage{node: target, rack: targetRack})
-	}
-	for s, st := range stages {
-		if s == len(stages)-1 {
-			st.acc = out
-			continue
-		}
-		st.acc = c.bufPool.Get(blockSize)
-	}
-	defer func() {
-		for s, st := range stages {
-			if s == len(stages)-1 {
-				continue
-			}
-			c.bufPool.Put(st.acc)
-		}
-	}()
-
 	chunk := c.cfg.PipelineChunkBytes
 	nChunks := (blockSize + chunk - 1) / chunk
+	chunkRange := func(idx int) (int, int) { return idx * chunk, min((idx+1)*chunk, blockSize) }
 
-	// ready[s] carries chunk indices whose partial sum has landed in stage
-	// s's upstream accumulator (stage 0 starts from zeros). Buffered to
-	// nChunks so a fast upstream never blocks; the group context covers
-	// abandonment.
+	// ready[s] carries chunk indices whose partial sum stage s may take up
+	// (stage 0 starts from zeros). Buffered to nChunks so a fast upstream
+	// never blocks; the group context covers abandonment.
 	ready := make([]chan int, len(stages))
 	for s := range ready {
 		ready[s] = make(chan int, nChunks)
@@ -237,9 +259,15 @@ func (c *Cluster) pipelineRepairInto(ctx context.Context, sm *StripeMeta, pos in
 	}
 	close(ready[0])
 
+	parent := telemetry.SpanFromContext(ctx)
 	g, gctx := workgroup.WithContext(ctx)
 	for s := range stages {
 		s, st := s, stages[s]
+		var onDisk chan struct{}
+		if len(st.positions) > 0 {
+			onDisk = make(chan struct{}, nChunks)
+			g.Go(func() error { return c.readAhead(gctx, st, onDisk) })
+		}
 		g.Go(func() error {
 			hop := parent.ChildTrack("raidnode.repair-hop").
 				Arg(telemetry.ComponentArg, "raidnode").
@@ -248,8 +276,6 @@ func (c *Cluster) pipelineRepairInto(ctx context.Context, sm *StripeMeta, pos in
 				Arg("hop", strconv.Itoa(s)).
 				Arg("members", strconv.Itoa(len(st.positions)))
 			defer hop.End()
-			// Inbound partial-sum stream from the previous hop: one
-			// chunk-sized partial per chunk index.
 			var in *fabric.Stream
 			if s > 0 {
 				var err error
@@ -260,69 +286,37 @@ func (c *Cluster) pipelineRepairInto(ctx context.Context, sm *StripeMeta, pos in
 				defer in.Close()
 				st.crossIn = in.Cross()
 			}
-			// Local survivors: read once into pooled buffers; the shaped
-			// disk stream charges their bytes chunk by chunk as they fold.
-			var blocks [][]byte
-			var disk *fabric.Stream
-			if len(st.positions) > 0 {
-				dn, err := c.DataNodeOf(st.node)
-				if err != nil {
-					return err
-				}
-				blocks = make([][]byte, len(st.positions))
-				defer func() {
-					for _, b := range blocks {
-						if b != nil {
-							c.bufPool.Put(b)
-						}
-					}
-				}()
-				for pi, p := range st.positions {
-					buf := c.bufPool.Get(blockSize)
-					blocks[pi] = buf
-					if err := dn.Store.GetInto(c.repairPosKey(sm, p), buf); err != nil {
-						return fmt.Errorf("stripe %d position %d on node %d: %w", sm.Info.ID, p, st.node, err)
-					}
-				}
-				disk, err = c.fab.OpenStream(gctx, st.node, st.node)
-				if err != nil {
-					return err
-				}
-				defer disk.Close()
-			}
 			for {
 				var idx int
-				var chOk bool
+				var ok bool
 				select {
-				case idx, chOk = <-ready[s]:
-					if !chOk {
-						if s+1 < len(stages) {
-							close(ready[s+1])
-						}
-						return nil
-					}
+				case idx, ok = <-ready[s]:
 				case <-gctx.Done():
 					return gctx.Err()
 				}
-				lo := idx * chunk
-				hi := min(lo+chunk, blockSize)
+				if !ok {
+					if s+1 < len(stages) {
+						close(ready[s+1])
+					}
+					return nil
+				}
+				lo, hi := chunkRange(idx)
 				if in != nil {
-					// Receive the upstream partial sum for this chunk
-					// range, then adopt it.
 					if err := in.Send(gctx, hi-lo); err != nil {
 						return err
 					}
-					copy(st.acc[lo:hi], stages[s-1].acc[lo:hi])
 				} else {
-					copy(st.acc[lo:hi], c.zeroBlock[lo:hi])
+					clear(out[lo:hi])
 				}
-				if len(st.positions) > 0 {
-					if err := disk.Send(gctx, len(st.positions)*(hi-lo)); err != nil {
-						return err
+				if onDisk != nil {
+					select {
+					case <-onDisk:
+					case <-gctx.Done():
+						return gctx.Err()
 					}
 					for pi, p := range st.positions {
-						if coef := coefOf[p]; coef != 0 {
-							gf256.MulAddSlice(coef, blocks[pi][lo:hi], st.acc[lo:hi])
+						if cf := coef[p]; cf != 0 {
+							gf256.MulAddSlice(cf, st.blocks[pi][lo:hi], out[lo:hi])
 						}
 					}
 				}
@@ -337,12 +331,33 @@ func (c *Cluster) pipelineRepairInto(ctx context.Context, sm *StripeMeta, pos in
 	}
 	// Account the chained transfers: every inbound hop shipped one partial
 	// block, crossing the core where the planned chain crossed racks.
-	for s := 1; s < len(stages); s++ {
-		if stages[s].crossIn {
+	for _, st := range stages[1:] {
+		if st.crossIn {
 			tr.addCross(int64(blockSize))
 		} else {
 			tr.addIntra(int64(blockSize))
 		}
+	}
+	return nil
+}
+
+// readAhead charges a stage's local survivor reads on its disk stream one
+// chunk at a time, independently of the stage's upstream receive, and
+// signals each chunk on onDisk (buffered to the chunk count, so it never
+// blocks). Disk time thus overlaps the inbound partial: a stage's
+// per-chunk cost is the larger of the two, not their sum.
+func (c *Cluster) readAhead(ctx context.Context, st *repairStage, onDisk chan<- struct{}) error {
+	disk, err := c.fab.OpenStream(ctx, st.node, st.node)
+	if err != nil {
+		return err
+	}
+	defer disk.Close()
+	blockSize, chunk := c.cfg.BlockSizeBytes, c.cfg.PipelineChunkBytes
+	for lo := 0; lo < blockSize; lo += chunk {
+		if err := disk.Send(ctx, len(st.positions)*(min(lo+chunk, blockSize)-lo)); err != nil {
+			return err
+		}
+		onDisk <- struct{}{}
 	}
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -68,20 +70,19 @@ func verifyBlockContents(t *testing.T, c *Cluster, contents map[topology.BlockID
 	}
 }
 
-// TestTwoLevelRepairMatchesGather is the differential property test: across
-// a spread of (k, m, rack layout, block/chunk size) geometries — with short
-// stripes and aborted members in the population — killing a full DataNode
-// and recovering it must restore byte-identical block and parity content on
-// both repair paths, and the two-level path must never move more bytes
-// across the rack core than the gather path. A second kill targets a
-// parity holder so parity-row reconstruction with a dead parity node is
-// covered in every geometry.
-func TestTwoLevelRepairMatchesGather(t *testing.T) {
-	geoms := []struct {
-		name  string
-		cfg   Config
-		chunk int
-	}{
+// repairGeometry is one (k, m, rack layout, block/chunk size) cluster shape
+// the differential reconstruction tests run on.
+type repairGeometry struct {
+	name  string
+	cfg   Config
+	chunk int
+}
+
+// repairGeometries spans short stripes and aborted members (through
+// populatePipeTest), a block size not divisible by the chunk, disk
+// shaping, and both policies.
+func repairGeometries() []repairGeometry {
+	return []repairGeometry{
 		{
 			name: "ear-6x3-k4n6",
 			cfg: Config{Racks: 6, NodesPerRack: 3, Policy: "ear", Replicas: 3,
@@ -114,13 +115,24 @@ func TestTwoLevelRepairMatchesGather(t *testing.T) {
 			chunk: 1 << 10,
 		},
 	}
-	for _, g := range geoms {
+}
+
+// TestTwoLevelRepairMatchesGather is the differential property test: across
+// a spread of (k, m, rack layout, block/chunk size) geometries — with short
+// stripes and aborted members in the population — killing a full DataNode
+// and recovering it must restore byte-identical block and parity content on
+// both repair paths, and the two-level path must never move more bytes
+// across the rack core than the gather path. A second kill targets a
+// parity holder so parity-row reconstruction with a dead parity node is
+// covered in every geometry.
+func TestTwoLevelRepairMatchesGather(t *testing.T) {
+	for _, g := range repairGeometries() {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
 			gatherCfg := g.cfg
+			gatherCfg.GatherRepair = true
 			twoCfg := g.cfg
-			twoCfg.RackAwareRepair = true
 			twoCfg.PipelineChunkBytes = g.chunk
 
 			gather, err := NewCluster(gatherCfg)
@@ -161,8 +173,8 @@ func TestTwoLevelRepairMatchesGather(t *testing.T) {
 			gs := recover(gather, dead)
 			ts := recover(two, dead)
 			// Data placement is identical across the clusters (checked
-			// above); parity plans may differ, so compare per-member
-			// cross-rack cost rather than absolute totals.
+			// above); compare per-member cross-rack cost rather than
+			// absolute totals.
 			if gs.BlocksRepaired != ts.BlocksRepaired {
 				t.Fatalf("data repair counts diverged: gather %d, two-level %d",
 					gs.BlocksRepaired, ts.BlocksRepaired)
@@ -225,7 +237,6 @@ func TestTwoLevelRepairMatchesGather(t *testing.T) {
 // and rerunning the repair at full speed restores the block.
 func TestRepairCancelCommitsNothing(t *testing.T) {
 	cfg := testConfig("ear")
-	cfg.RackAwareRepair = true
 	cfg.BlockSizeBytes = 256 << 10
 	cfg.BandwidthBytesPerSec = 64 << 10 // ~4s per block: cancel lands mid-chunk
 	c, err := NewCluster(cfg)
@@ -322,13 +333,80 @@ func TestRepairCancelCommitsNothing(t *testing.T) {
 	}
 }
 
+// TestRepairIntoDeadHoldersRackStaysClean repairs a block onto a node in
+// its dead holder's rack, which the stripe's c=1 rack cap allows once the
+// dead copy no longer counts: committed as one relocation, the repair
+// never shows the journal models both copies in that rack at once, so the
+// auditor stays clean at every event.
+func TestRepairIntoDeadHoldersRackStaysClean(t *testing.T) {
+	c := newTestCluster(t, "ear")
+	jrn := events.NewJournal(4096)
+	c.SetJournal(jrn)
+	cfg := c.Config()
+	aud := audit.New(c.Topology(), audit.Config{Replicas: cfg.Replicas, C: cfg.C, CheckCoreRack: true})
+	aud.Attach(jrn)
+	rng := rand.New(rand.NewSource(73))
+	ids, contents := writeBlocks(t, c, 4*cfg.K, rng)
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	nn := c.NameNode()
+	for _, id := range ids {
+		meta, err := nn.Block(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Stripe < 0 || len(meta.Nodes) != 1 {
+			continue
+		}
+		holder := meta.Nodes[0]
+		nn.MarkDead(holder)
+		sm, err := nn.Stripe(meta.Stripe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target, release, err := c.pickRepairTarget(sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		tr, err := c.Topology().RackOf(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := c.Topology().RackOf(holder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr != hr {
+			nn.MarkAlive(holder)
+			continue
+		}
+		got, err := c.RepairBlock(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != target {
+			t.Fatalf("repair landed on node %d, picked %d", got, target)
+		}
+		verifyBlockContents(t, c, contents)
+		if rep := aud.Report(); rep.Total() != 0 {
+			t.Fatalf("auditor dirty after repairing into the dead holder's rack: %+v", rep)
+		}
+		return
+	}
+	t.Fatal("no block's repair target fell in its dead holder's rack")
+}
+
 // TestConcurrentRepairSameStripe loses two data blocks of one stripe and
 // repairs them concurrently on the two-level path — the -race run proves
 // the shared decode cache, pooled buffers, and per-repair traffic books
 // tolerate concurrent RepairBlock on the same stripe.
 func TestConcurrentRepairSameStripe(t *testing.T) {
 	cfg := testConfig("ear") // (6,4): two erasures stay decodable
-	cfg.RackAwareRepair = true
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -409,5 +487,305 @@ func TestConcurrentRepairSameStripe(t *testing.T) {
 		if !bytes.Equal(got, contents[victims[i]]) {
 			t.Fatalf("block %d repaired with wrong content", victims[i])
 		}
+	}
+	// Concurrent picks for one stripe see each other's targets: at c=1
+	// the two rebuilt members land in different racks.
+	r0, err := c.Topology().RackOf(targets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := c.Topology().RackOf(targets[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r0 == r1 {
+		t.Fatalf("concurrent repairs of one stripe both landed in rack %d (nodes %d, %d)", r0, targets[0], targets[1])
+	}
+}
+
+// TestDegradedReadChainMatchesGather is the differential test of the read
+// path: in every repair geometry, with the busiest node dead and with it
+// the first parity holder of one of that node's stripes, every lost data
+// block reads back byte-exact through the two-level chain and through the
+// gather. Both clusters, built from one seed, also planned identical
+// parity placements.
+func TestDegradedReadChainMatchesGather(t *testing.T) {
+	for _, g := range repairGeometries() {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			gatherCfg := g.cfg
+			gatherCfg.GatherRepair = true
+			chainCfg := g.cfg
+			chainCfg.PipelineChunkBytes = g.chunk
+			var clusters []*Cluster
+			var contents map[topology.BlockID][]byte
+			for _, cfg := range []Config{gatherCfg, chainCfg} {
+				c, err := NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				contents = populatePipeTest(t, c, g.cfg.Seed+300)
+				if _, err := c.RaidNode().EncodeAll(); err != nil {
+					t.Fatal(err)
+				}
+				clusters = append(clusters, c)
+			}
+			gather, chain := clusters[0], clusters[1]
+			nn := gather.NameNode()
+			for _, sid := range nn.EncodedStripes() {
+				gsm, err := nn.Stripe(sid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				csm, err := chain.NameNode().Stripe(sid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(gsm.Plan.Parity, csm.Plan.Parity) {
+					t.Fatalf("stripe %d parity placed %v and %v from one seed", sid, gsm.Plan.Parity, csm.Plan.Parity)
+				}
+			}
+
+			dead := busiestDataNode(t, gather)
+			pDead := topology.NodeID(-1)
+			for _, sid := range nn.EncodedStripes() {
+				sm, err := nn.Stripe(sid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range sm.Info.Blocks {
+					meta, err := nn.Block(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if slices.Equal(meta.Nodes, []topology.NodeID{dead}) && sm.Plan.Parity[0] != dead {
+						pDead = sm.Plan.Parity[0]
+					}
+				}
+				if pDead >= 0 {
+					break
+				}
+			}
+			if pDead < 0 {
+				t.Fatal("no stripe of the busiest node has a separate parity holder")
+			}
+			for _, c := range clusters {
+				c.NameNode().MarkDead(dead)
+				c.NameNode().MarkDead(pDead)
+			}
+
+			ids := make([]topology.BlockID, 0, len(contents))
+			for id := range contents {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			reads := 0
+			for _, id := range ids {
+				live, err := nn.LiveReplicas(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(live) > 0 {
+					continue
+				}
+				reader := topology.NodeID(int(id) % gather.Topology().Nodes())
+				for reader == dead || reader == pDead {
+					reader = (reader + 1) % topology.NodeID(gather.Topology().Nodes())
+				}
+				for i, c := range clusters {
+					got, err := c.ReadBlock(reader, id)
+					if err != nil {
+						t.Fatalf("cluster %d: degraded read of block %d: %v", i, id, err)
+					}
+					if !bytes.Equal(got, contents[id]) {
+						t.Fatalf("cluster %d: degraded read of block %d returned wrong bytes", i, id)
+					}
+				}
+				reads++
+			}
+			if reads == 0 {
+				t.Fatal("the failures left no block to read degraded")
+			}
+		})
+	}
+}
+
+// fullStripeVictim returns a data block of an encoded stripe with k live
+// data members, its stripe and its position there.
+func fullStripeVictim(t *testing.T, c *Cluster) (topology.BlockID, *StripeMeta, int) {
+	t.Helper()
+	nn := c.NameNode()
+	for _, sid := range nn.EncodedStripes() {
+		sm, err := nn.Stripe(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sm.Info.Blocks) != c.Config().K {
+			continue
+		}
+		full := true
+		for _, b := range sm.Info.Blocks {
+			meta, err := nn.Block(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full = full && !meta.Aborted && len(meta.Nodes) == 1
+		}
+		if full {
+			return sm.Info.Blocks[1], sm, 1
+		}
+	}
+	t.Fatal("no full encoded stripe")
+	return 0, nil, 0
+}
+
+// liveReader returns the lowest-numbered live node.
+func liveReader(c *Cluster) topology.NodeID {
+	n := topology.NodeID(0)
+	for c.NameNode().IsDead(n) {
+		n++
+	}
+	return n
+}
+
+// TestDegradedReadSurvivesCorruptSurvivor corrupts the survivor copy a
+// degraded read's chain would fold mid-chain: the chain drops that copy,
+// re-plans over the remaining survivors and still returns the written
+// bytes.
+func TestDegradedReadSurvivesCorruptSurvivor(t *testing.T) {
+	c := newTestCluster(t, "ear")
+	rng := rand.New(rand.NewSource(61))
+	_, contents := writeBlocks(t, c, 4*c.Config().K, rng)
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	victim, sm, pos := fullStripeVictim(t, c)
+	vm, err := c.NameNode().Block(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NameNode().MarkDead(vm.Nodes[0])
+	reader := liveReader(c)
+
+	hops, _, err := c.planRepairChain(sm, pos, reader, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hops) < 3 {
+		t.Fatalf("chain of %d hops has no middle", len(hops))
+	}
+	mid := hops[len(hops)/2]
+	dn, err := c.DataNodeOf(mid.Node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dn.Store.Corrupt(c.repairPosKey(sm, mid.Positions[0])); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.DegradedRead(reader, victim)
+	if err != nil {
+		t.Fatalf("degraded read with a corrupt mid-chain survivor: %v", err)
+	}
+	if !bytes.Equal(got, contents[victim]) {
+		t.Fatal("degraded read with a corrupt mid-chain survivor returned wrong bytes")
+	}
+}
+
+// chainFrames counts the goroutines running a reconstruction chain's hop
+// stages and read-ahead streams.
+func chainFrames() (hops, readAheads int) {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "hdfs.(*Cluster).readAhead(") {
+			readAheads++
+		} else if strings.Contains(g, "hdfs.(*Cluster).runRepairChain.func") {
+			hops++
+		}
+	}
+	return hops, readAheads
+}
+
+// TestDegradedReadCancelMidChainLeaksNothing cancels a degraded read while
+// its chain streams on a slow fabric and slower disks: the read promptly
+// fails with the context's error, and every hop and read-ahead goroutine
+// exits.
+func TestDegradedReadCancelMidChainLeaksNothing(t *testing.T) {
+	cfg := testConfig("ear")
+	cfg.BlockSizeBytes = 256 << 10
+	cfg.BandwidthBytesPerSec = 64 << 10     // ~4s per block on the wire
+	cfg.DiskBandwidthBytesPerSec = 32 << 10 // read-ahead outlasts the cancel
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Fabric().SetAllRates(64 << 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fabric().SetDiskRates(64 << 30); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(67))
+	writeBlocks(t, c, 4*cfg.K, rng)
+	if _, err := c.NameNode().FlushOpenStripes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RaidNode().EncodeAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fabric().SetAllRates(cfg.BandwidthBytesPerSec); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fabric().SetDiskRates(cfg.DiskBandwidthBytesPerSec); err != nil {
+		t.Fatal(err)
+	}
+	victim, _, _ := fullStripeVictim(t, c)
+	vm, err := c.NameNode().Block(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NameNode().MarkDead(vm.Nodes[0])
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.DegradedReadCtx(ctx, liveReader(c), victim)
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if hops, readAheads := chainFrames(); hops > 0 && readAheads > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("chain never started its hops and read-aheads")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled degraded read = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("degraded read still running 2s after its context was canceled")
+	}
+	deadline = time.Now().Add(2 * time.Second)
+	for {
+		hops, readAheads := chainFrames()
+		if hops == 0 && readAheads == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d hop and %d read-ahead goroutines outlived the canceled read", hops, readAheads)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
